@@ -111,7 +111,7 @@ bench-sharding:
 
 # Benchmark-regression gate: re-measure the inference and sharding
 # experiments and compare against the committed BENCH_*.json baselines on
-# hardware-independent metrics (speedup ratios, accuracy, allocs/op);
+# hardware-independent metrics (speedup ratios, accuracy);
 # non-zero exit on a regression beyond the noise tolerance. CI runs this.
 bench-gate:
 	BENCH_INFERENCE_OUT=/tmp/bench_inference_fresh.json $(GO) run ./cmd/experiments -exp inference -scale small

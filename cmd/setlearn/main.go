@@ -17,13 +17,11 @@
 // With -shards K (K > 1) the structure is built as a partitioned container
 // (internal/shard): the collection is split by -partitioner (hash, range,
 // freq, or cluster), one down-scaled model is trained per shard, and queries
-// fan out with exact merge semantics. -calibrate fits per-shard isotonic
-// correction curves on a held-out workload; -error-budget B additionally
-// reallocates training epochs from accurate shards to shards whose held-out
-// error exceeds B. Sharded saves use their own container format; -load
-// detects it by magic bytes, so the same flag reopens either kind:
+// fan out with exact merge semantics. Sharded saves use their own container
+// format; -load detects it by magic bytes, so the same flag reopens either
+// kind:
 //
-//	setlearn -task card -data rw.txt -shards 4 -partitioner freq -calibrate -save est4.bin -query "3,17"
+//	setlearn -task card -data rw.txt -shards 4 -partitioner freq -save est4.bin -query "3,17"
 //	setlearn -task card -data rw.txt -load est4.bin -query "3,17"
 //
 // The collection file holds one set per line as space-separated element ids
@@ -37,6 +35,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
@@ -59,23 +58,13 @@ func main() {
 	loadPath := flag.String("load", "", "load a previously saved structure instead of training")
 	shards := flag.Int("shards", 0, "build a sharded container with this many shards (0/1 = monolithic)")
 	partFlag := flag.String("partitioner", "hash", "shard partitioner: hash, range, freq, or cluster")
-	calibrate := flag.Bool("calibrate", false, "fit per-shard isotonic calibration curves (sharded builds)")
-	errBudget := flag.Float64("error-budget", 0, "per-shard held-out error budget; > 0 reallocates epochs toward shards over budget (implies -calibrate)")
-	precFlag := flag.String("precision", "f64", "serving precision: f64 (bit-exact reference) or f32 (zero-alloc float32 kernels)")
 	flag.Parse()
 
 	part, err := shard.ParsePartitioner(*partFlag)
 	if err != nil {
 		fatal(err)
 	}
-	prec, err := core.ParsePrecision(*precFlag)
-	if err != nil {
-		fatal(err)
-	}
-	shardOpts := shard.Options{
-		Shards: *shards, Partitioner: part, MeasureBounds: true,
-		Calibrate: *calibrate, ErrorBudget: *errBudget,
-	}
+	shardOpts := shard.Options{Shards: *shards, Partitioner: part, MeasureBounds: true}
 
 	if *data == "" {
 		fmt.Fprintln(os.Stderr, "setlearn: -data is required")
@@ -151,7 +140,6 @@ func main() {
 			saveStructure(*savePath, e.Save)
 			est = e
 		}
-		applyPrecision(est, prec)
 		for _, q := range qs {
 			fmt.Printf("card(%v) ≈ %.1f (exact %d)\n", q, est.Estimate(q), c.Cardinality(q))
 		}
@@ -195,7 +183,6 @@ func main() {
 			saveStructure(*savePath, x.Save)
 			idx = x
 		}
-		applyPrecision(idx, prec)
 		for _, q := range qs {
 			fmt.Printf("pos(%v) = %d (exact %d)\n", q, idx.Lookup(q), c.FirstPosition(q))
 		}
@@ -239,7 +226,6 @@ func main() {
 			saveStructure(*savePath, m.Save)
 			mf = m
 		}
-		applyPrecision(mf, prec)
 		for _, q := range qs {
 			fmt.Printf("member(%v) = %v (exact %v)\n", q, mf.Contains(q), c.Member(q))
 		}
@@ -250,16 +236,6 @@ func main() {
 }
 
 func mbOf(bytes int) float64 { return float64(bytes) / (1024 * 1024) }
-
-// applyPrecision switches a structure's serving precision when -precision
-// asked for something other than the float64 default (training and
-// persistence always run float64; the f32 snapshot is derived at serve time).
-func applyPrecision[T interface{ SetPrecision(core.Precision) }](s T, p core.Precision) {
-	if p != core.F64 {
-		s.SetPrecision(p)
-		fmt.Printf("serving precision: %s\n", p)
-	}
-}
 
 // sniffSharded reports whether path holds a sharded container (by magic), so
 // -load reopens either format without a mode flag.
@@ -282,12 +258,6 @@ func printBuildStats(stats []shard.BuildStat) {
 		if s.ErrBound > 0 {
 			line += fmt.Sprintf(", err bound %.2f", s.ErrBound)
 		}
-		if s.HoldoutErr > 0 {
-			line += fmt.Sprintf(", holdout err %.3f", s.HoldoutErr)
-		}
-		if s.StolenEpochs != 0 {
-			line += fmt.Sprintf(", %+d epochs", s.StolenEpochs)
-		}
 		fmt.Println(line)
 	}
 }
@@ -297,15 +267,41 @@ func saveStructure(path string, save func(w io.Writer) error) {
 	if path == "" {
 		return
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	if err := save(f); err != nil {
+	if err := writeFileAtomic(path, save); err != nil {
 		fatal(err)
 	}
 	fmt.Printf("saved to %s\n", path)
+}
+
+// writeFileAtomic writes path through save without ever exposing a partial
+// file: the bytes go to a temporary file in the same directory, which is
+// synced, closed and then renamed over path. On any error the temporary
+// file is removed and a previous file at path is left untouched.
+func writeFileAtomic(path string, save func(w io.Writer) error) (err error) {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(f.Name())
+		}
+	}()
+	// CreateTemp opens 0600; a saved structure is read like os.Create's.
+	if err = f.Chmod(0o644); err != nil {
+		return err
+	}
+	if err = save(f); err != nil {
+		return err
+	}
+	if err = f.Sync(); err != nil {
+		return err
+	}
+	if err = f.Close(); err != nil {
+		return err
+	}
+	return os.Rename(f.Name(), path)
 }
 
 // loadStructure opens path and decodes the structure with load.

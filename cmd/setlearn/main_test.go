@@ -1,6 +1,9 @@
 package main
 
 import (
+	"bytes"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -45,5 +48,67 @@ func TestLoadQueriesFromFile(t *testing.T) {
 func TestLoadQueriesMissingFile(t *testing.T) {
 	if _, err := loadQueries("", "/nonexistent/q.txt"); err == nil {
 		t.Fatal("expected error")
+	}
+}
+
+func TestWriteFileAtomicKeepsOldFileOnFailedSave(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "est.bin")
+	old := []byte("previous structure bytes")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("encode failed")
+	err := writeFileAtomic(path, func(w io.Writer) error {
+		if _, err := w.Write([]byte("partial")); err != nil {
+			return err
+		}
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("writeFileAtomic error = %v, want %v", err, boom)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, old) {
+		t.Fatalf("failed save changed the old file: %q", got)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("failed save left a temporary file behind: %v", entries)
+	}
+}
+
+func TestWriteFileAtomicReplacesFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "est.bin")
+	if err := os.WriteFile(path, []byte("old"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := []byte("new structure bytes")
+	if err := writeFileAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(want)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("saved bytes = %q, want %q", got, want)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("save left extra files: %v", entries)
 	}
 }

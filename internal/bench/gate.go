@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+
+	"setlearn/internal/shard"
 )
 
 // The benchmark-regression gate compares a fresh experiment run against the
@@ -28,12 +30,6 @@ func (v GateViolation) String() string {
 		v.Point, v.Metric, v.Fresh, v.Baseline, v.Limit)
 }
 
-// f32SpeedupFloor is the absolute acceptance bar for the float32 serving
-// path: f32 over the φ-table must beat the committed float64 scalar
-// (uncached) baseline by at least this factor, independent of noise
-// tolerance.
-const f32SpeedupFloor = 1.5
-
 // atLeast records a violation when fresh < limit.
 func atLeast(vs []GateViolation, point, metric string, baseline, fresh, limit float64) []GateViolation {
 	if fresh < limit {
@@ -52,10 +48,10 @@ func atMost(vs []GateViolation, point, metric string, baseline, fresh, limit flo
 
 // GateInference compares a fresh inference run against the baseline. For
 // every baseline point the fresh run must keep each speedup within (1−tol)
-// of the committed value, hold the absolute f32 floor, and not allocate
-// where the baseline did not (alloc counts are exact, not noisy, so they
-// get no tolerance). A baseline point missing from the fresh run fails;
-// fresh-only points pass (new configurations are allowed to appear).
+// of the committed value. A baseline point missing from the fresh run
+// fails; fresh-only points pass (new configurations are allowed to appear).
+// The zero-alloc contract of the serving path is pinned by the deepsets
+// allocation tests, not here.
 func GateInference(baseline, fresh *InferenceReport, tol float64) []GateViolation {
 	var vs []GateViolation
 	byKey := map[string]InferencePoint{}
@@ -71,32 +67,31 @@ func GateInference(baseline, fresh *InferenceReport, tol float64) []GateViolatio
 		}
 		vs = atLeast(vs, key, "table_speedup", b.TableSpeedup, f.TableSpeedup, b.TableSpeedup*(1-tol))
 		vs = atLeast(vs, key, "batch_speedup", b.BatchSpeedup, f.BatchSpeedup, b.BatchSpeedup*(1-tol))
-		if b.F32Speedup > 0 {
-			vs = atLeast(vs, key, "f32_speedup", b.F32Speedup, f.F32Speedup, b.F32Speedup*(1-tol))
-			vs = atMost(vs, key, "f32_allocs_op", b.F32AllocsOp, f.F32AllocsOp, b.F32AllocsOp)
-		}
-		if f.F32Speedup > 0 {
-			vs = atLeast(vs, key, "f32_speedup_floor", b.F32Speedup, f.F32Speedup, f32SpeedupFloor)
-		}
 	}
 	return vs
 }
 
-// calErrRatioCeiling is the error-aware sharding acceptance bar: a
-// calibrated skew-aware partition whose committed baseline holds its mean
-// absolute error within this factor of the monolith's must keep doing so —
-// the ceiling is absolute, not tolerance-scaled, so the headline accuracy
-// claim cannot erode by tol per PR.
-const calErrRatioCeiling = 2.0
+// errRatioCeiling is the error-aware sharding acceptance bar: a skew-aware
+// partition whose committed baseline holds its mean absolute error within
+// this factor of the monolith's must keep doing so — the ceiling is
+// absolute, not tolerance-scaled, so the headline accuracy claim cannot
+// erode by tol per PR.
+const errRatioCeiling = 2.0
+
+// skewAware reports whether a sharding point uses one of the skew-aware
+// partitioners (freq, cluster) that carry the accuracy-ratio claim.
+func skewAware(p ShardingPoint) bool {
+	return p.Partitioner == shard.FrequencyBand.String() || p.Partitioner == shard.EmbedCluster.String()
+}
 
 // GateSharding compares a fresh sharding run against the baseline: the
 // partitioned build must keep its speedup over the monolith, accuracy must
 // not drift (mean absolute error is seeded and machine-independent, but
 // gets the same tolerance for float-order effects), the batched path must
-// stay at least as fast relative to the single-query path, and calibrated
-// points must hold their accuracy ratio against the monolith — both
-// relative to the committed ratio and, where the baseline met it, against
-// the absolute calErrRatioCeiling.
+// stay at least as fast relative to the single-query path, and skew-aware
+// points must hold their mean_abs_err / monolith_err ratio — both relative
+// to the committed ratio and, where the baseline met it, against the
+// absolute errRatioCeiling.
 func GateSharding(baseline, fresh *ShardingReport, tol float64) []GateViolation {
 	var vs []GateViolation
 	byKey := map[string]ShardingPoint{}
@@ -116,20 +111,16 @@ func GateSharding(baseline, fresh *ShardingReport, tol float64) []GateViolation 
 			baseRatio := b.BatchUS / b.SingleUS
 			vs = atMost(vs, key, "batch_vs_single_ratio", baseRatio, f.BatchUS/f.SingleUS, baseRatio*(1+tol))
 		}
-		if b.CalibratedErr > 0 && baseline.MonolithErr > 0 {
-			if f.CalibratedErr <= 0 {
-				vs = append(vs, GateViolation{Point: key, Metric: "calibrated_err missing from fresh run"})
-				continue
-			}
+		if skewAware(b) && baseline.MonolithErr > 0 {
 			if fresh.MonolithErr <= 0 {
 				vs = append(vs, GateViolation{Point: key, Metric: "monolith_err missing from fresh run"})
 				continue
 			}
-			bRatio := b.CalibratedErr / baseline.MonolithErr
-			fRatio := f.CalibratedErr / fresh.MonolithErr
-			vs = atMost(vs, key, "calibrated_err_ratio", bRatio, fRatio, bRatio*(1+tol)+0.1)
-			if bRatio <= calErrRatioCeiling {
-				vs = atMost(vs, key, "calibrated_err_ratio_ceiling", bRatio, fRatio, calErrRatioCeiling)
+			bRatio := b.MeanAbsErr / baseline.MonolithErr
+			fRatio := f.MeanAbsErr / fresh.MonolithErr
+			vs = atMost(vs, key, "mean_abs_err_ratio", bRatio, fRatio, bRatio*(1+tol)+0.1)
+			if bRatio <= errRatioCeiling {
+				vs = atMost(vs, key, "mean_abs_err_ratio_ceiling", bRatio, fRatio, errRatioCeiling)
 			}
 		}
 	}

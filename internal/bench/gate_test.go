@@ -10,7 +10,6 @@ func inferenceFixturePoint(speedup float64) InferencePoint {
 		Config: "lsm", SetSize: 8,
 		UncachedUS: 12, TableUS: 12 / speedup, BatchTableUS: 12 / speedup,
 		TableSpeedup: speedup, BatchSpeedup: speedup,
-		F32TableUS: 12 / (speedup * 1.1), F32Speedup: speedup * 1.1, F32AllocsOp: 0,
 	}
 }
 
@@ -38,30 +37,6 @@ func TestGateInferenceCatchesSpeedupRegression(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("want table_speedup violation, got %v", vs)
-	}
-}
-
-func TestGateInferenceCatchesAllocRegression(t *testing.T) {
-	base := &InferenceReport{Points: []InferencePoint{inferenceFixturePoint(8)}}
-	p := inferenceFixturePoint(8)
-	p.F32AllocsOp = 2 // any steady-state allocation is a regression, no tolerance
-	fresh := &InferenceReport{Points: []InferencePoint{p}}
-	vs := GateInference(base, fresh, 0.4)
-	if len(vs) != 1 || vs[0].Metric != "f32_allocs_op" {
-		t.Fatalf("want exactly the alloc violation, got %v", vs)
-	}
-}
-
-func TestGateInferenceEnforcesF32Floor(t *testing.T) {
-	// Baseline predates the f32 path (F32Speedup 0): the relative check is
-	// skipped but the absolute 1.5× floor still applies to the fresh run.
-	base := &InferenceReport{Points: []InferencePoint{{Config: "lsm", SetSize: 8, TableSpeedup: 8, BatchSpeedup: 8}}}
-	p := inferenceFixturePoint(8)
-	p.F32Speedup = 1.2
-	fresh := &InferenceReport{Points: []InferencePoint{p}}
-	vs := GateInference(base, fresh, 0.4)
-	if len(vs) != 1 || vs[0].Metric != "f32_speedup_floor" {
-		t.Fatalf("want the f32 floor violation, got %v", vs)
 	}
 }
 
@@ -101,20 +76,26 @@ func TestGateSharding(t *testing.T) {
 	}
 }
 
-func calibratedFixturePoint(calErr float64) ShardingPoint {
+func skewFixturePoint(err float64) ShardingPoint {
 	return ShardingPoint{
 		Shards: 8, Partitioner: "freq",
-		BuildSpeedup: 3.5, MeanAbsErr: 5.0, CalibratedErr: calErr,
+		BuildSpeedup: 3.5, MeanAbsErr: err,
 		SingleUS: 10, BatchUS: 9,
 	}
 }
 
-func TestGateShardingCalibratedRatio(t *testing.T) {
+// TestGateShardingErrRatio pins the accuracy-ratio check on the
+// skew-aware points (the ones that used to carry calibrated_err): their
+// mean_abs_err / monolith_err must stay within tolerance of the baseline
+// ratio and under the absolute ceiling the baseline met.
+func TestGateShardingErrRatio(t *testing.T) {
 	// Baseline ratio 1.5× the monolith — under the 2× acceptance ceiling.
-	base := &ShardingReport{MonolithErr: 1.0, Points: []ShardingPoint{calibratedFixturePoint(1.5)}}
+	// The errors are fractions of one, so the +0.5 absolute slack of the
+	// plain mean_abs_err check never fires here.
+	base := &ShardingReport{MonolithErr: 0.1, Points: []ShardingPoint{skewFixturePoint(0.15)}}
 
 	// 1.8× is within both the relative tolerance and the absolute ceiling.
-	ok := &ShardingReport{MonolithErr: 1.0, Points: []ShardingPoint{calibratedFixturePoint(1.8)}}
+	ok := &ShardingReport{MonolithErr: 0.1, Points: []ShardingPoint{skewFixturePoint(0.18)}}
 	if vs := GateSharding(base, ok, 0.4); len(vs) != 0 {
 		t.Fatalf("ratio under the ceiling must pass, got %v", vs)
 	}
@@ -122,36 +103,43 @@ func TestGateShardingCalibratedRatio(t *testing.T) {
 	// 2.1× clears the tolerance-scaled relative bound (1.5×1.4+0.1 = 2.2)
 	// but breaks the absolute ceiling: the headline accuracy claim must not
 	// erode by tol per PR.
-	over := &ShardingReport{MonolithErr: 1.0, Points: []ShardingPoint{calibratedFixturePoint(2.1)}}
+	over := &ShardingReport{MonolithErr: 0.1, Points: []ShardingPoint{skewFixturePoint(0.21)}}
 	vs := GateSharding(base, over, 0.4)
-	if len(vs) != 1 || vs[0].Metric != "calibrated_err_ratio_ceiling" {
+	if len(vs) != 1 || vs[0].Metric != "mean_abs_err_ratio_ceiling" {
 		t.Fatalf("want exactly the ceiling violation, got %v", vs)
 	}
 
 	// Way past both bounds: the relative check fires too.
-	far := &ShardingReport{MonolithErr: 1.0, Points: []ShardingPoint{calibratedFixturePoint(4.0)}}
+	far := &ShardingReport{MonolithErr: 0.1, Points: []ShardingPoint{skewFixturePoint(0.4)}}
 	vs = GateSharding(base, far, 0.4)
 	metrics := map[string]bool{}
 	for _, v := range vs {
 		metrics[v.Metric] = true
 	}
-	if !metrics["calibrated_err_ratio"] || !metrics["calibrated_err_ratio_ceiling"] {
+	if !metrics["mean_abs_err_ratio"] || !metrics["mean_abs_err_ratio_ceiling"] {
 		t.Fatalf("want relative and ceiling violations, got %v", vs)
 	}
 
-	// A fresh run that dropped the calibrated column altogether fails.
-	uncal := calibratedFixturePoint(0)
-	missing := &ShardingReport{MonolithErr: 1.0, Points: []ShardingPoint{uncal}}
+	// A fresh run without the monolith denominator fails.
+	missing := &ShardingReport{Points: []ShardingPoint{skewFixturePoint(0.15)}}
 	vs = GateSharding(base, missing, 0.4)
-	if len(vs) != 1 || !strings.Contains(vs[0].Metric, "calibrated_err missing") {
-		t.Fatalf("want a missing-calibration violation, got %v", vs)
+	if len(vs) != 1 || !strings.Contains(vs[0].Metric, "monolith_err missing") {
+		t.Fatalf("want a missing-monolith violation, got %v", vs)
 	}
 
 	// A baseline over the ceiling never had the claim; only the relative
 	// bound applies, so a fresh ratio within tolerance of it passes.
-	baseOver := &ShardingReport{MonolithErr: 1.0, Points: []ShardingPoint{calibratedFixturePoint(3.0)}}
-	freshOver := &ShardingReport{MonolithErr: 1.0, Points: []ShardingPoint{calibratedFixturePoint(4.0)}}
+	baseOver := &ShardingReport{MonolithErr: 0.1, Points: []ShardingPoint{skewFixturePoint(0.3)}}
+	freshOver := &ShardingReport{MonolithErr: 0.1, Points: []ShardingPoint{skewFixturePoint(0.4)}}
 	if vs := GateSharding(baseOver, freshOver, 0.4); len(vs) != 0 {
 		t.Fatalf("ceiling must not apply when the baseline never met it, got %v", vs)
+	}
+
+	// Hash points carry no ratio claim: the same far-off ratio only meets
+	// the plain mean_abs_err check, whose +0.5 slack absorbs it.
+	hashBase := &ShardingReport{MonolithErr: 0.1, Points: []ShardingPoint{shardingFixturePoint(2.7, 0.15)}}
+	hashFar := &ShardingReport{MonolithErr: 0.1, Points: []ShardingPoint{shardingFixturePoint(2.7, 0.4)}}
+	if vs := GateSharding(hashBase, hashFar, 0.4); len(vs) != 0 {
+		t.Fatalf("hash points must not get the ratio check, got %v", vs)
 	}
 }

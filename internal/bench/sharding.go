@@ -21,14 +21,12 @@ type ShardingPoint struct {
 	BuildSecs    float64 `json:"build_secs"`
 	BuildSpeedup float64 `json:"build_speedup"` // monolith build secs / this build secs
 	SizeBytes    int     `json:"size_bytes"`
-	MeanAbsErr   float64 `json:"mean_abs_err"` // raw serving path, over the trained workload
-	// CalibratedErr is the mean absolute error with the per-shard isotonic
-	// curves enabled; 0 for points built without -calibrate. The accuracy
-	// gate judges CalibratedErr / MonolithErr — the error-aware sharding
-	// acceptance ratio.
-	CalibratedErr float64 `json:"calibrated_err,omitempty"`
-	SingleUS      float64 `json:"single_us"` // µs per single fan-out query
-	BatchUS       float64 `json:"batch_us"`  // µs per query through EstimateBatch
+	// MeanAbsErr is over the trained workload. For the skew-aware
+	// partitioners the accuracy gate judges MeanAbsErr / MonolithErr — the
+	// error-aware sharding acceptance ratio.
+	MeanAbsErr float64 `json:"mean_abs_err"`
+	SingleUS   float64 `json:"single_us"` // µs per single fan-out query
+	BatchUS    float64 `json:"batch_us"`  // µs per query through EstimateBatch
 }
 
 // ShardingReport is the JSON trajectory written via BENCH_SHARDING_OUT so
@@ -68,21 +66,14 @@ func shardingWorkload(st *dataset.SubsetStats) (qs []sets.Set, truth []float64) 
 	return qs, truth
 }
 
-// shardingErr measures mean |estimate − truth| over the trained workload.
-func shardingErr(est core.CardinalityQuerier, st *dataset.SubsetStats) float64 {
-	qs, truth := shardingWorkload(st)
-	var sum float64
-	for i, q := range qs {
-		sum += math.Abs(est.Estimate(q) - truth[i])
-	}
-	return sum / float64(len(qs))
-}
-
 // shardingErrAndLatency measures mean |estimate − truth| over the trained
 // workload plus per-query latency of the single and batched paths.
 func shardingErrAndLatency(est core.CardinalityQuerier, st *dataset.SubsetStats) (meanErr, singleUS, batchUS float64) {
-	qs, _ := shardingWorkload(st)
-	meanErr = shardingErr(est, st)
+	qs, truth := shardingWorkload(st)
+	for i, q := range qs {
+		meanErr += math.Abs(est.Estimate(q) - truth[i])
+	}
+	meanErr /= float64(len(qs))
 
 	reps := inferenceReps(len(qs))
 	singleUS = usPerQuery(reps, len(qs), func() {
@@ -101,10 +92,9 @@ func shardingErrAndLatency(est core.CardinalityQuerier, st *dataset.SubsetStats)
 // against the monolithic build on the RW collection: wall-clock build time at
 // K ∈ {1, 2, 4, 8} hash shards with √K model scaling, the accuracy cost of
 // the smaller per-shard models, and single/batched fan-out query latency.
-// The skew-aware partitioners (freq, cluster) are then measured calibrated at
-// K ∈ {2, 4, 8}, with both the raw and calibrated error columns taken from
-// one build via the EnableCalibration toggle. When BENCH_SHARDING_OUT names a
-// file, the points are also written there as JSON.
+// The skew-aware partitioners (freq, cluster) are then measured at
+// K ∈ {2, 4, 8}. When BENCH_SHARDING_OUT names a file, the points are also
+// written there as JSON.
 func RunSharding(w io.Writer, sc dataset.Scale) error {
 	c := dataset.GenerateRW(sc.RWN, sc.RWVocab, 1)
 	st := dataset.CollectSubsets(c, sc.MaxSubset)
@@ -112,12 +102,11 @@ func RunSharding(w io.Writer, sc dataset.Scale) error {
 
 	rep := &Report{
 		Title:  fmt.Sprintf("Sharded estimator (scale=%s, n=%d): build and fan-out cost vs monolith", sc.Name, c.Len()),
-		Header: []string{"Shards", "Part", "Build s", "Speedup", "MB", "MeanAbsErr", "Cal Err", "Single µs", "Batch µs"},
+		Header: []string{"Shards", "Part", "Build s", "Speedup", "MB", "MeanAbsErr", "Single µs", "Batch µs"},
 		Notes: []string{
 			"√K model scaling: per-shard hidden widths shrink with K, so the build",
-			"speedup holds on a single core; the error columns show the price of the",
-			"smaller per-shard models on the trained workload (raw serving path vs",
-			"the per-shard isotonic curves of -calibrate, one build via the toggle).",
+			"speedup holds on a single core; the error column shows the price of the",
+			"smaller per-shard models on the trained workload.",
 		},
 	}
 
@@ -133,12 +122,12 @@ func RunSharding(w io.Writer, sc dataset.Scale) error {
 
 	monoErr, monoSingle, monoBatch := shardingErrAndLatency(mono, st)
 	out.MonolithErr = monoErr
-	rep.AddRow("mono", "-", monoSecs, fmt.Sprintf("%.2f", 1.0), mbOf(mono.SizeBytes()), monoErr, "-", monoSingle, monoBatch)
+	rep.AddRow("mono", "-", monoSecs, fmt.Sprintf("%.2f", 1.0), mbOf(mono.SizeBytes()), monoErr, monoSingle, monoBatch)
 
-	measure := func(k int, p shard.Partitioner, calibrate bool) error {
+	measure := func(k int, p shard.Partitioner) error {
 		start := time.Now()
 		se, err := shard.BuildShardedEstimator(c, shard.Options{
-			Shards: k, Partitioner: p, Calibrate: calibrate,
+			Shards: k, Partitioner: p,
 		}, core.EstimatorOptions{
 			Model: base, MaxSubset: sc.MaxSubset, Percentile: 90,
 		})
@@ -153,31 +142,20 @@ func RunSharding(w io.Writer, sc dataset.Scale) error {
 			SizeBytes: se.SizeBytes(), MeanAbsErr: meanErr,
 			SingleUS: singleUS, BatchUS: batchUS,
 		}
-		calCell := any("-")
-		if calibrate {
-			// The calibrated error is the serving default of a -calibrate
-			// build; flip the toggle to price the raw path from the same
-			// build, then restore it.
-			pt.CalibratedErr = meanErr
-			se.EnableCalibration(false)
-			pt.MeanAbsErr = shardingErr(se, st)
-			se.EnableCalibration(true)
-			calCell = pt.CalibratedErr
-		}
 		out.Points = append(out.Points, pt)
 		rep.AddRow(k, pt.Partitioner, secs, fmt.Sprintf("%.2f", pt.BuildSpeedup),
-			mbOf(se.SizeBytes()), pt.MeanAbsErr, calCell, singleUS, batchUS)
+			mbOf(se.SizeBytes()), pt.MeanAbsErr, singleUS, batchUS)
 		return nil
 	}
 
 	for _, k := range []int{1, 2, 4, 8} {
-		if err := measure(k, shard.HashBySet, false); err != nil {
+		if err := measure(k, shard.HashBySet); err != nil {
 			return err
 		}
 	}
 	for _, p := range []shard.Partitioner{shard.FrequencyBand, shard.EmbedCluster} {
 		for _, k := range []int{2, 4, 8} {
-			if err := measure(k, p, true); err != nil {
+			if err := measure(k, p); err != nil {
 				return err
 			}
 		}

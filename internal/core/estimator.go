@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"setlearn/internal/calib"
 	"setlearn/internal/dataset"
 	"setlearn/internal/deepsets"
 	"setlearn/internal/hybrid"
@@ -122,18 +121,8 @@ func (e *CardinalityEstimator) SizeBytes() int { return e.hybrid.SizeBytes() + e
 // Hybrid exposes the underlying hybrid estimator for benchmarking.
 func (e *CardinalityEstimator) Hybrid() *hybrid.Estimator { return e.hybrid }
 
-// SetCalibration installs (or removes, with nil) a monotone correction on
-// the raw model output; exact paths (aux hits, OOV, the delta) are never
-// calibrated.
-func (e *CardinalityEstimator) SetCalibration(cal *calib.Curve) { e.hybrid.SetCalibration(cal) }
-
-// Calibration returns the installed correction curve, or nil.
-func (e *CardinalityEstimator) Calibration() *calib.Curve { return e.hybrid.Calibration() }
-
-// RawEstimate returns the unfloored, uncalibrated model output for q; ok is
-// false when q is answered exactly without the model. The delta is not
-// consulted: this is the fit domain for calibration curves, which compose
-// before the delta's exact contribution.
+// RawEstimate returns the unfloored model output for q; ok is false when q
+// is answered exactly without the model. The delta is not consulted.
 func (e *CardinalityEstimator) RawEstimate(q sets.Set) (est float64, ok bool) {
 	return e.hybrid.RawEstimate(q)
 }

@@ -51,11 +51,7 @@ func enableFastPath(m *deepsets.Model, o FastPathOptions) string {
 // selected mode ("table", "cache", or "off"). Safe to call while queries
 // are being served; results are unchanged in every mode.
 func (i *SetIndex) EnableFastPath(o FastPathOptions) string {
-	mode := enableFastPath(i.hybrid.Model(), o)
-	if i.Precision() == F32 {
-		i.SetPrecision(F32) // refresh the f32 snapshot with the new accel
-	}
-	return mode
+	return enableFastPath(i.hybrid.Model(), o)
 }
 
 // PhiStats reports the φ accel counters; ok is false when inference runs
@@ -70,11 +66,7 @@ func (i *SetIndex) MaxID() uint32 { return i.hybrid.Model().Config().MaxID }
 // EnableFastPath (re)configures the estimator's φ acceleration; see
 // SetIndex.EnableFastPath.
 func (e *CardinalityEstimator) EnableFastPath(o FastPathOptions) string {
-	mode := enableFastPath(e.hybrid.Model(), o)
-	if e.Precision() == F32 {
-		e.SetPrecision(F32) // refresh the f32 snapshot with the new accel
-	}
-	return mode
+	return enableFastPath(e.hybrid.Model(), o)
 }
 
 // PhiStats reports the φ accel counters; ok is false when inference runs
@@ -89,11 +81,7 @@ func (e *CardinalityEstimator) MaxID() uint32 { return e.hybrid.Model().Config()
 // EnableFastPath (re)configures the filter's φ acceleration; see
 // SetIndex.EnableFastPath.
 func (f *MembershipFilter) EnableFastPath(o FastPathOptions) string {
-	mode := enableFastPath(f.model, o)
-	if f.Precision() == F32 {
-		f.SetPrecision(F32) // refresh the f32 snapshot with the new accel
-	}
-	return mode
+	return enableFastPath(f.model, o)
 }
 
 // PhiStats reports the φ accel counters; ok is false when inference runs

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"setlearn/internal/calib"
 	"setlearn/internal/dataset"
 	"setlearn/internal/deepsets"
 	"setlearn/internal/hybrid"
@@ -172,24 +171,3 @@ func (i *SetIndex) MaxError() int { return i.hybrid.MaxError() }
 
 // Hybrid exposes the underlying hybrid structure for benchmarking.
 func (i *SetIndex) Hybrid() *hybrid.Index { return i.hybrid }
-
-// SetPositionCalibration installs a pre-measured monotone position
-// correction — load-time only, when the persisted error bounds already
-// reflect it (see hybrid.Index.SetPositionCalibration).
-func (i *SetIndex) SetPositionCalibration(cal *calib.Curve) { i.hybrid.SetPositionCalibration(cal) }
-
-// PositionCalibration returns the installed position correction, or nil.
-func (i *SetIndex) PositionCalibration() *calib.Curve { return i.hybrid.PositionCalibration() }
-
-// RawPosition returns the unscaled, uncalibrated position prediction for q;
-// ok is false when q is answered without the model (the fit domain for
-// position calibration).
-func (i *SetIndex) RawPosition(q sets.Set) (pos float64, ok bool) {
-	return i.hybrid.RawPosition(q)
-}
-
-// RecalibratePositions installs cal and remeasures the error bounds over
-// samples; must run before the index serves queries.
-func (i *SetIndex) RecalibratePositions(cal *calib.Curve, samples []dataset.Sample) {
-	i.hybrid.RecalibratePositions(cal, samples)
-}

@@ -28,11 +28,6 @@ type IndexQuerier interface {
 	EnableFastPath(o FastPathOptions) string
 	// PhiStats reports φ accel counters; ok is false when uncached.
 	PhiStats() (deepsets.AccelStats, bool)
-	// SetPrecision switches the serving precision (F64 is the
-	// bit-identity reference; F32 serves from a weight snapshot).
-	SetPrecision(p Precision)
-	// Precision reports the active serving precision.
-	Precision() Precision
 	// MaxID returns the largest element id the structure accepts.
 	MaxID() uint32
 	// SizeBytes returns the total structure footprint.
@@ -49,8 +44,6 @@ type CardinalityQuerier interface {
 	Update(q sets.Set, card float64)
 	EnableFastPath(o FastPathOptions) string
 	PhiStats() (deepsets.AccelStats, bool)
-	SetPrecision(p Precision)
-	Precision() Precision
 	MaxID() uint32
 	SizeBytes() int
 }
@@ -64,8 +57,6 @@ type MembershipQuerier interface {
 	ContainsBatch(qs []sets.Set, workers int) []bool
 	EnableFastPath(o FastPathOptions) string
 	PhiStats() (deepsets.AccelStats, bool)
-	SetPrecision(p Precision)
-	Precision() Precision
 	MaxID() uint32
 	SizeBytes() int
 }
@@ -123,11 +114,6 @@ type ShardStat struct {
 	Bytes   int    `json:"bytes"`    // shard structure footprint
 	Queries uint64 `json:"queries"`  // fan-out queries routed to the shard
 	PhiMode string `json:"phi_mode"` // "table", "cache", or "off"
-	// Calibrated reports whether a per-shard correction curve is fitted;
-	// HoldoutErr is the shard's held-out mean absolute error measured with
-	// that curve applied (0 when never measured).
-	Calibrated bool    `json:"calibrated,omitempty"`
-	HoldoutErr float64 `json:"holdout_err,omitempty"`
 }
 
 // ShardStatser is implemented by partitioned containers that can report

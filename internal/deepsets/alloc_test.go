@@ -3,6 +3,8 @@ package deepsets
 import (
 	"math/rand"
 	"testing"
+
+	"setlearn/internal/sets"
 )
 
 // Allocation baselines for the float64 serving paths, measured with
@@ -11,8 +13,7 @@ import (
 // (uncached, table, cache-hit) and PredictBatch with a caller-sized dst
 // all run at 0 allocs/op once per-predictor scratch and the per-batch
 // memo have warmed. These asserts pin that baseline so regressions show
-// up as test failures, not as slow drift in the benchmarks; the f32
-// arena path (model32_test.go) is held to the same 0.
+// up as test failures, not as slow drift in the benchmarks.
 //
 // The one steady-state alloc the memo path is allowed: a batch with ids
 // the memo slab has not grown to yet may extend memoSlab once. The warmup
@@ -76,4 +77,17 @@ func TestPredictBatchF64ZeroAllocsSteadyState(t *testing.T) {
 			t.Errorf("%s PredictBatch allocs/op = %v, want 0", mode, n)
 		}
 	}
+}
+
+// randSets draws n distinct-element sets of size k over [0, maxID].
+func randSets(rng *rand.Rand, n, k int, maxID uint32) []sets.Set {
+	qs := make([]sets.Set, n)
+	for i := range qs {
+		ids := make([]uint32, 0, k)
+		for len(sets.New(ids...)) < k {
+			ids = append(ids, uint32(rng.Intn(int(maxID)+1)))
+		}
+		qs[i] = sets.New(ids...)
+	}
+	return qs
 }

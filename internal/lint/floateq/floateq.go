@@ -15,13 +15,11 @@
 // mat.WithinTol), whose bodies the analyzer skips, or carry an
 // explicit //lint:allow floateq -- <reason> escape hatch.
 //
-// The analyzer also guards the float32 serving path's precision boundary:
-// non-constant float64↔float32 conversions are flagged everywhere in scope
-// except in blessed kernel/conversion files, so rounding happens exactly
-// once, at the model-snapshot boundary, instead of leaking ad-hoc
-// conversions through the f64 training code. Blessed files are those named
-// by the repo's f32-kernel convention (*32.go — mat32.go, infer32.go,
-// model32.go) plus nn/io.go, which persists weights at float32.
+// The analyzer also guards the float32 precision boundary: non-constant
+// float64↔float32 conversions are flagged everywhere in scope except in
+// the one blessed file, nn/io.go, which persists weights at float32. So
+// rounding happens exactly once, at persistence, instead of leaking ad-hoc
+// conversions through the f64 training and serving code.
 package floateq
 
 import (
@@ -44,19 +42,15 @@ var toleranceFuncs = map[string]bool{
 }
 
 // isBlessedMixed reports whether the file may convert between float64 and
-// float32: the *32.go kernel files hold the f32 serving path, and nn/io.go
-// is the float32 persistence boundary.
+// float32: only nn/io.go, the float32 persistence boundary.
 func isBlessedMixed(filename string) bool {
-	if strings.HasSuffix(filepath.Base(filename), "32.go") {
-		return true
-	}
 	return strings.HasSuffix(filepath.ToSlash(filename), "nn/io.go")
 }
 
 var Analyzer = &analysis.Analyzer{
 	Name: "floateq",
 	Doc: "flag ==/!=/switch on float32/float64 outside approved tolerance helpers, " +
-		"and float64↔float32 conversions outside blessed kernel files; " +
+		"and float64↔float32 conversions outside the nn/io.go persistence boundary; " +
 		"exact-zero, math.Inf, and x != x NaN checks are allowed",
 	Scope: []string{
 		"setlearn/internal/mat",
@@ -128,7 +122,7 @@ func checkConversion(pass *analysis.Pass, call *ast.CallExpr) {
 	if !narrowing && !widening {
 		return
 	}
-	pass.Reportf(call.Pos(), "precision-mixing conversion %s outside a blessed kernel file; keep the f64↔f32 boundary in *32.go / nn/io.go (or annotate //lint:allow floateq -- <reason>)",
+	pass.Reportf(call.Pos(), "precision-mixing conversion %s outside the blessed boundary file; keep the f64↔f32 boundary in nn/io.go (or annotate //lint:allow floateq -- <reason>)",
 		types.ExprString(call))
 }
 

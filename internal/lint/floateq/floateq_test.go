@@ -11,6 +11,12 @@ func TestFloateq(t *testing.T) {
 	linttest.Run(t, floateq.Analyzer, "floateq")
 }
 
+// TestFloateqPersistenceBoundary: conversions in a file at nn/io.go, the
+// float32 weight persistence boundary, are the only ones not flagged.
+func TestFloateqPersistenceBoundary(t *testing.T) {
+	linttest.Run(t, floateq.Analyzer, "nn")
+}
+
 func TestScope(t *testing.T) {
 	for _, pkg := range []string{
 		"setlearn/internal/mat",

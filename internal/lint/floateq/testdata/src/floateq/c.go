@@ -6,10 +6,10 @@ package floateq
 type half float32
 
 func mixes(a float64, f float32, n int, m meters) {
-	_ = float32(a) // want `precision-mixing conversion float32\(a\) outside a blessed kernel file`
-	_ = float64(f) // want `precision-mixing conversion float64\(f\) outside a blessed kernel file`
-	_ = half(a)    // want `precision-mixing conversion half\(a\) outside a blessed kernel file`
-	_ = float32(m) // want `precision-mixing conversion float32\(m\) outside a blessed kernel file`
+	_ = float32(a) // want `precision-mixing conversion float32\(a\) outside the blessed boundary file`
+	_ = float64(f) // want `precision-mixing conversion float64\(f\) outside the blessed boundary file`
+	_ = half(a)    // want `precision-mixing conversion half\(a\) outside the blessed boundary file`
+	_ = float32(m) // want `precision-mixing conversion float32\(m\) outside the blessed boundary file`
 
 	_ = float64(n)   // int → float: widening from an integer is exact enough
 	_ = float32(n)   // int → float32: not a float↔float mix

@@ -73,25 +73,26 @@ func floatCompare(a, b float64) bool { return a == b }
 }
 
 // TestNoallocRealHotPaths is the acceptance gate for the interprocedural
-// layer: every //lint:hotpath annotation in the real serving code —
-// Predictor32.Predict/PredictBatch and their pool wrappers, the f32 mat
-// kernels, the delta read path, the shard delta fan-in — must verify with
-// ZERO diagnostics and zero suppressions. A regression in the predictors,
-// or an analyzer change that starts flagging the blessed idioms
-// (cap-guarded growth, panic arguments, caller-owned appends), fails here.
+// layer: every //lint:hotpath annotation in the real serving code — the
+// delta read path in hybrid and the shard delta fan-in — must verify with
+// ZERO diagnostics and zero suppressions. A regression on those paths, or
+// an analyzer change that starts flagging the blessed idioms (cap-guarded
+// growth, panic arguments, caller-owned appends), fails here. The f64
+// predictor's zero-alloc steady state is pinned at run time by the
+// deepsets allocation tests instead: its memo and φ-cache growth are
+// allocations by design, so it carries no //lint:hotpath root.
 func TestNoallocRealHotPaths(t *testing.T) {
+	dirs := []string{"./internal/shard", "./internal/hybrid"}
 	var out strings.Builder
-	res, err := lint.Run("../..", []string{
-		"./internal/deepsets", "./internal/mat", "./internal/shard", "./internal/hybrid",
-	}, []*analysis.Analyzer{noalloc.Analyzer}, &out)
+	res, err := lint.Run("../..", dirs, []*analysis.Analyzer{noalloc.Analyzer}, &out)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if res.Errors != 0 {
 		t.Fatalf("unexpected errors:\n%s", out.String())
 	}
-	if res.Packages != 4 {
-		t.Fatalf("packages = %d, want 4", res.Packages)
+	if res.Packages != len(dirs) {
+		t.Fatalf("packages = %d, want %d", res.Packages, len(dirs))
 	}
 	if res.Diagnostics != 0 {
 		t.Errorf("real hot paths must verify allocation-free, got %d findings:\n%s",
@@ -101,9 +102,8 @@ func TestNoallocRealHotPaths(t *testing.T) {
 
 // TestPubfreezeRealHotSwapSites is the acceptance gate for the
 // publication-safety layer: every atomic hot-swap in the serving stack —
-// hybrid's f32 predictor-pool and calibration-curve swaps, the sharded
-// containers' per-shard state swaps in RetrainShard, deepsets' φ-accel
-// (PhiTable/PhiCache) attach, core's fast-path options install — must
+// the sharded containers' per-shard state swaps in RetrainShard, deepsets'
+// φ-accel (PhiTable/PhiCache) attach, core's fast-path options install — must
 // verify frozen-after-publish with ZERO diagnostics and zero
 // suppressions. A new mutate-after-Store bug, or an analyzer change that
 // starts flagging the blessed copy-on-write idiom (build fresh, mutate
@@ -111,7 +111,7 @@ func TestNoallocRealHotPaths(t *testing.T) {
 func TestPubfreezeRealHotSwapSites(t *testing.T) {
 	dirs := []string{
 		"./internal/hybrid", "./internal/shard", "./internal/deepsets",
-		"./internal/core", "./internal/server", "./internal/calib",
+		"./internal/core", "./internal/server",
 	}
 	var out strings.Builder
 	res, err := lint.Run("../..", dirs, []*analysis.Analyzer{pubfreeze.Analyzer}, &out)

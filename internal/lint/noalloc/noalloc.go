@@ -3,8 +3,8 @@
 // reachable from an annotated root through any call chain. The dynamic
 // pins (testing.AllocsPerRun in deepsets/alloc_test.go) catch regressions
 // on the inputs they run; this analyzer catches them on every path, at
-// lint time, with a call-chain trace — a helper extracted from
-// Predictor32.Predict cannot silently reintroduce an allocation.
+// lint time, with a call-chain trace — a helper extracted from the delta
+// read path cannot silently reintroduce an allocation.
 //
 // Allocating constructs: make, new, append, escaping composite literals
 // (slice/map literals and address-taken &T{...}; plain struct literals
@@ -23,8 +23,7 @@
 // Three idioms that are allocation-free in steady state are exempt:
 //
 //   - capacity-guarded growth: make/append under an if whose condition
-//     consults cap(...) — the amortised grow-once buffer idiom
-//     (Predictor32.pooledLSE, PredictBatch),
+//     consults cap(...) — the amortised grow-once buffer idiom,
 //   - panic arguments: allocations (fmt.Sprintf above all) inside the
 //     argument of a panic call happen only on the failure path,
 //   - append to a caller-provided parameter slice: the documented
@@ -141,8 +140,8 @@ func run(pass *analysis.Pass) error {
 // finding is one allocating construct reachable from a function, with the
 // call chain (relative to that function) leading to it.
 type finding struct {
-	desc  string   // construct + position, e.g. `make([]float64, n) at deepsets/model32.go:226`
-	steps []string // call chain, outermost call first, e.g. `pooled (deepsets/model32.go:256)`
+	desc  string   // construct + position, e.g. `make([]float64, n) at hybrid/delta.go:226`
+	steps []string // call chain, outermost call first, e.g. `count (hybrid/delta.go:256)`
 }
 
 // fnSummary is the bottom-up noalloc summary of one function.
@@ -230,7 +229,7 @@ func (c *checker) summarize(d summary.Fn, depth int) fnSummary {
 
 // callEdge is one resolved module-local call out of a function.
 type callEdge struct {
-	step   string // `pooled (deepsets/model32.go:256)`
+	step   string // `count (hybrid/delta.go:256)`
 	callee summary.Fn
 }
 

@@ -77,12 +77,12 @@ func TestResolveLocalFunction(t *testing.T) {
 	pass := newRepoPass(t, "internal/deepsets")
 	s := For(pass)
 
-	fn := findCalleeIn(t, pass, "deepsets.Predictor32).pooled")
+	fn := findCalleeIn(t, pass, "deepsets.Predictor).phiFor")
 	d, ok := s.Resolve(fn)
 	if !ok {
 		t.Fatalf("Resolve(%s) failed for a same-package method", fn.FullName())
 	}
-	if d.Decl.Name.Name != "pooled" {
+	if d.Decl.Name.Name != "phiFor" {
 		t.Errorf("resolved wrong decl: %s", d.Decl.Name.Name)
 	}
 }
@@ -91,9 +91,9 @@ func TestResolveCrossPackage(t *testing.T) {
 	pass := newRepoPass(t, "internal/deepsets")
 	s := For(pass)
 
-	// nn.MLP32.Infer as seen from deepsets' imported view of package nn:
+	// nn.MLP.Infer as seen from deepsets' imported view of package nn:
 	// a different types.Func object than nn's own load produces.
-	fn := findCalleeIn(t, pass, "nn.MLP32).Infer")
+	fn := findCalleeIn(t, pass, "nn.MLP).Infer")
 	d, ok := s.Resolve(fn)
 	if !ok {
 		t.Fatalf("Resolve(%s) failed to follow the import", fn.FullName())
@@ -117,10 +117,10 @@ func TestResolveWithoutLoaderDegrades(t *testing.T) {
 	pass.Shared = analysis.NewShared() // fresh cache, no preloaded store
 	s := For(pass)
 
-	if _, ok := s.Resolve(findCalleeIn(t, pass, "nn.MLP32).Infer")); ok {
+	if _, ok := s.Resolve(findCalleeIn(t, pass, "nn.MLP).Infer")); ok {
 		t.Error("cross-package Resolve should fail without a LoadPackage hook")
 	}
-	if _, ok := s.Resolve(findCalleeIn(t, pass, "deepsets.Predictor32).pooled")); !ok {
+	if _, ok := s.Resolve(findCalleeIn(t, pass, "deepsets.Predictor).phiFor")); !ok {
 		t.Error("same-package Resolve must still work without a hook")
 	}
 }
@@ -128,7 +128,7 @@ func TestResolveWithoutLoaderDegrades(t *testing.T) {
 func TestMemoSharedAcrossPasses(t *testing.T) {
 	pass := newRepoPass(t, "internal/deepsets")
 	s := For(pass)
-	fn := findCalleeIn(t, pass, "deepsets.Predictor32).pooled")
+	fn := findCalleeIn(t, pass, "deepsets.Predictor).phiFor")
 	s.Memo("dom").Set(fn, 42)
 
 	// A second pass over the same run's Shared sees the same store.

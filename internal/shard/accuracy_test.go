@@ -12,9 +12,9 @@ import (
 
 // The shard-accuracy battery: on a seeded Zipf fixture shaped like the bench
 // harness (trained-subset workload, stride-sampled — the regime the committed
-// BENCH_sharding.json acceptance measures), a calibrated sharded estimator
-// must stay within 2x the monolith's mean absolute error at every K the
-// ISSUE sweeps, for both error-aware partitioners. The structural battery's
+// BENCH_sharding.json acceptance measures), a sharded estimator must stay
+// within 2x the monolith's mean absolute error at K ∈ {2, 4, 8}, for both
+// error-aware partitioners. The structural battery's
 // shared fixture is too small and dense for accuracy claims: with 150 sets
 // over 240 elements every common pair is supported in most shards, so the
 // sum fan-in multiplies irreducible per-shard model noise by K. This fixture
@@ -36,11 +36,10 @@ func accuracyFixture() (*sets.Collection, *dataset.SubsetStats) {
 	return accCol, accStats
 }
 
-// accuracyModel trains at enough capacity for the per-shard models' raw
-// outputs to carry signal — the regime calibration operates in (the shared
-// fixture's 3-epoch models are deliberately weak to keep the structural
-// battery fast; accuracy claims need the real thing, scaled down from the
-// bench config).
+// accuracyModel trains at enough capacity for the per-shard models' outputs
+// to carry signal (the shared fixture's 3-epoch models are deliberately weak
+// to keep the structural battery fast; accuracy claims need the real thing,
+// scaled down from the bench config).
 func accuracyModel() core.ModelOptions {
 	return core.ModelOptions{
 		EmbedDim: 16, PhiHidden: []int{96}, PhiOut: 32, RhoHidden: []int{96},
@@ -68,20 +67,7 @@ func workloadMAE(qs []sets.Set, truth []float64, f func(sets.Set) float64) float
 	return sum / float64(len(qs))
 }
 
-func calibratedEstimator(tb testing.TB, c *sets.Collection, k int, p Partitioner) *Estimator {
-	tb.Helper()
-	e, err := BuildShardedEstimator(c, Options{
-		Shards: k, Partitioner: p, Calibrate: true,
-	}, core.EstimatorOptions{
-		Model: accuracyModel(), MaxSubset: testMaxSubset, Percentile: 90,
-	})
-	if err != nil {
-		tb.Fatalf("calibrated estimator K=%d %s: %v", k, p, err)
-	}
-	return e
-}
-
-func TestAccuracyCalibratedVsMonolith(t *testing.T) {
+func TestAccuracyShardedVsMonolith(t *testing.T) {
 	c, st := accuracyFixture()
 	qs, truth := accuracyWorkload(st)
 	mono, err := core.BuildEstimator(c, core.EstimatorOptions{
@@ -96,133 +82,17 @@ func TestAccuracyCalibratedVsMonolith(t *testing.T) {
 		for _, k := range []int{2, 4, 8} {
 			k, p := k, p
 			t.Run(cacheKey(k, p), func(t *testing.T) {
-				se := calibratedEstimator(t, c, k, p)
-				if !se.Calibrated() {
-					t.Fatal("Calibrate build does not report calibration on")
+				se, err := BuildShardedEstimator(c, Options{Shards: k, Partitioner: p},
+					core.EstimatorOptions{Model: accuracyModel(), MaxSubset: testMaxSubset, Percentile: 90})
+				if err != nil {
+					t.Fatalf("sharded estimator K=%d %s: %v", k, p, err)
 				}
 				mae := workloadMAE(qs, truth, se.Estimate)
-				t.Logf("K=%d %s calibrated MAE = %.4f (%.2fx monolith)", k, p, mae, mae/monoMAE)
+				t.Logf("K=%d %s sharded MAE = %.4f (%.2fx monolith)", k, p, mae, mae/monoMAE)
 				if mae > 2*monoMAE+1e-9 {
-					t.Fatalf("calibrated MAE %.4f exceeds 2x monolith %.4f", mae, monoMAE)
-				}
-				for s, stat := range se.ShardStats() {
-					if stat.HoldoutErr < 0 || math.IsNaN(stat.HoldoutErr) {
-						t.Fatalf("shard %d held-out error %g", s, stat.HoldoutErr)
-					}
+					t.Fatalf("sharded MAE %.4f exceeds 2x monolith %.4f", mae, monoMAE)
 				}
 			})
-		}
-	}
-}
-
-// TestAccuracyCalibrationToggle: EnableCalibration is reversible — turning
-// the curves off and back on restores bit-identical answers, and the toggle
-// state is what Calibrated reports. The build deliberately underfits (2
-// epochs, aggressive aux eviction) so the raw outputs carry a monotone bias
-// the isotonic curves beat: the never-make-it-worse guard would reject the
-// curves under a fully-trained model, leaving nothing to toggle.
-func TestAccuracyCalibrationToggle(t *testing.T) {
-	c, st := accuracyFixture()
-	qs, _ := accuracyWorkload(st)
-	m := accuracyModel()
-	m.Epochs = 2
-	se, err := BuildShardedEstimator(c, Options{
-		Shards: 4, Partitioner: FrequencyBand, Calibrate: true,
-	}, core.EstimatorOptions{
-		Model: m, MaxSubset: testMaxSubset, Percentile: 50,
-	})
-	if err != nil {
-		t.Fatalf("calibrated estimator: %v", err)
-	}
-	curves := 0
-	for _, stat := range se.ShardStats() {
-		if stat.Calibrated {
-			curves++
-		}
-	}
-	if curves == 0 {
-		t.Fatal("underfit build installed no calibration curve on any shard")
-	}
-	before := make([]float64, len(qs))
-	for i, q := range qs {
-		before[i] = se.Estimate(q)
-	}
-	se.EnableCalibration(false)
-	if se.Calibrated() {
-		t.Fatal("Calibrated() true after disable")
-	}
-	raw := make([]float64, len(qs))
-	for i, q := range qs {
-		raw[i] = se.Estimate(q)
-	}
-	se.EnableCalibration(true)
-	if !se.Calibrated() {
-		t.Fatal("Calibrated() false after re-enable")
-	}
-	for i, q := range qs {
-		if got := se.Estimate(q); got != before[i] {
-			t.Fatalf("Estimate(%v) = %g after toggle round-trip, want %g", q, got, before[i])
-		}
-	}
-	// The raw pass must differ somewhere: the fixture's curves are not all
-	// the identity (if they were, calibration would be vacuous here).
-	same := true
-	for i := range qs {
-		if raw[i] != before[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("disabling calibration changed no answer — curves are vacuous")
-	}
-}
-
-// TestAccuracyErrorBudget: the capacity stealer's invariants. A generous
-// budget keeps every probe build (no shard steals); any budget leaves the
-// container serving every trained subset within its combined measured bound.
-func TestAccuracyErrorBudget(t *testing.T) {
-	c, st := testCollection(t)
-	build := func(budget float64) *Estimator {
-		e, err := BuildShardedEstimator(c, Options{
-			Shards: 4, Partitioner: FrequencyBand, ErrorBudget: budget, MeasureBounds: true,
-		}, core.EstimatorOptions{
-			Model: testModel(), MaxSubset: testMaxSubset, Percentile: 90,
-		})
-		if err != nil {
-			t.Fatalf("error-budget build (budget %g): %v", budget, err)
-		}
-		return e
-	}
-
-	lavish := build(1e9)
-	for _, bs := range lavish.BuildStats() {
-		if bs.StolenEpochs != 0 {
-			t.Fatalf("budget 1e9: shard %d stole %d epochs", bs.Shard, bs.StolenEpochs)
-		}
-	}
-	if !lavish.Calibrated() {
-		t.Fatal("ErrorBudget build must imply calibration")
-	}
-
-	tight := build(0.01)
-	stolen := 0
-	for _, bs := range tight.BuildStats() {
-		if bs.StolenEpochs < 0 {
-			t.Fatalf("negative stolen epochs on shard %d", bs.Shard)
-		}
-		stolen += bs.StolenEpochs
-	}
-	t.Logf("budget 0.01: %d epochs reallocated", stolen)
-	bound, ok := tight.CombinedErrorBound()
-	if !ok {
-		t.Fatal("MeasureBounds build reports no combined bound")
-	}
-	keys := sampleKeys(st, 7)
-	for _, key := range keys {
-		info := st.ByKey[key]
-		if d := math.Abs(tight.Estimate(info.Set) - float64(info.Card)); d > bound+1e-9 {
-			t.Fatalf("Estimate(%v) error %g exceeds combined bound %g", info.Set, d, bound)
 		}
 	}
 }

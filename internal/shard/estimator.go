@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"setlearn/internal/calib"
 	"setlearn/internal/core"
 	"setlearn/internal/dataset"
 	"setlearn/internal/deepsets"
@@ -25,12 +24,6 @@ type estShard struct {
 	global []int                      // global positions of the trained sets
 	delta  *hybrid.Delta
 	stat   BuildStat
-	// cal is the shard's fitted correction curve (nil when the build did not
-	// calibrate); holdout is the shard's held-out mean absolute error with
-	// cal applied. Both travel with the swap unit so a retrain replaces them
-	// atomically with the model.
-	cal     *calib.Curve
-	holdout float64
 }
 
 // auxOverride is one exact-cardinality override recorded by Update. The
@@ -59,12 +52,6 @@ type Estimator struct {
 	mutation
 	opts *core.EstimatorOptions // scaled per-shard build options; nil: not retrainable
 	fast atomic.Pointer[core.FastPathOptions]
-	prec atomic.Int32 // core.Precision, remembered and re-applied on retrain
-
-	// calQueries is the held-out calibration workload (fixed at build so a
-	// retrain refits deterministically); calOn is the serving toggle.
-	calQueries []sets.Set
-	calOn      atomic.Bool
 
 	// auxMu guards aux and bounds. A retrain folds absorbed-insert counts
 	// into the overrides under the write lock in the same critical section
@@ -109,7 +96,6 @@ func BuildShardedEstimator(c *sets.Collection, o Options, opts core.EstimatorOpt
 		return nil, err
 	}
 	rt.buildSupport(subs, opts.MaxSubset)
-	rawModel := opts.Model // unscaled; the stealer's width boost rescales from it
 	opts.Model = ScaleModel(opts.Model, o.Shards, o.Scaling)
 
 	var workload *dataset.SubsetStats
@@ -134,22 +120,14 @@ func BuildShardedEstimator(c *sets.Collection, o Options, opts core.EstimatorOpt
 	if o.MeasureBounds {
 		e.bounds = make([]float64, o.Shards)
 	}
-	if o.Calibrate {
-		e.calQueries = calibrationQueries(c, opts.MaxSubset, opts.Model.Seed)
-		e.calOn.Store(true)
-	}
-	if o.ErrorBudget > 0 {
-		err = e.buildWithStealing(subs, globals, o, opts, rawModel, workload)
-	} else {
-		err = runBounded(o.Shards, o.Parallelism, func(s int) error {
-			st, err := e.buildEstShard(s, subs[s], globals[s], opts, workload, o.Calibrate)
-			if err != nil {
-				return err
-			}
-			e.states[s].Store(st)
-			return nil
-		})
-	}
+	err = runBounded(o.Shards, o.Parallelism, func(s int) error {
+		st, err := e.buildEstShard(s, subs[s], globals[s], opts, workload)
+		if err != nil {
+			return err
+		}
+		e.states[s].Store(st)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -162,10 +140,9 @@ func BuildShardedEstimator(c *sets.Collection, o Options, opts core.EstimatorOpt
 }
 
 // buildEstShard builds one shard's swap unit at the given options: train the
-// shard model, fit its calibration curve (when calibrate is set), and
-// measure its error bound over the global workload (when workload is
-// non-nil). Safe to call concurrently for distinct shards.
-func (e *Estimator) buildEstShard(s int, sub *sets.Collection, global []int, so core.EstimatorOptions, workload *dataset.SubsetStats, calibrate bool) (*estShard, error) {
+// shard model and measure its error bound over the global workload (when
+// workload is non-nil). Safe to call concurrently for distinct shards.
+func (e *Estimator) buildEstShard(s int, sub *sets.Collection, global []int, so core.EstimatorOptions, workload *dataset.SubsetStats) (*estShard, error) {
 	st := &estShard{
 		sub:    sub,
 		global: global,
@@ -182,11 +159,6 @@ func (e *Estimator) buildEstShard(s int, sub *sets.Collection, global []int, so 
 		return nil, fmt.Errorf("shard %d: %w", s, err)
 	}
 	st.est = est
-	if calibrate {
-		skip := func(q sets.Set) bool { return e.route.prunes(s, q) }
-		st.cal, st.holdout = fitEstimatorCal(est, sub, e.calQueries, skip)
-		st.stat.HoldoutErr = st.holdout
-	}
 	st.stat.BuildSecs = time.Since(t0).Seconds()
 	st.stat.Bytes = est.SizeBytes()
 	if workload != nil {
@@ -469,20 +441,6 @@ func (e *Estimator) EnableFastPath(o core.FastPathOptions) string {
 	return mode
 }
 
-// SetPrecision switches the serving precision on every shard; remembered
-// and re-applied to retrained shard structures (see Index.SetPrecision).
-func (e *Estimator) SetPrecision(p core.Precision) {
-	e.prec.Store(int32(p))
-	for s := 0; s < e.k; s++ {
-		if sh := e.states[s].Load().est; sh != nil {
-			sh.SetPrecision(p)
-		}
-	}
-}
-
-// Precision reports the container's configured serving precision.
-func (e *Estimator) Precision() core.Precision { return core.Precision(e.prec.Load()) }
-
 // PhiStats aggregates the per-shard φ accel counters.
 func (e *Estimator) PhiStats() (deepsets.AccelStats, bool) {
 	ps := make([]phiStatser, 0, e.k)
@@ -542,13 +500,11 @@ func (e *Estimator) ShardStats() []core.ShardStat {
 		st := e.states[s].Load()
 		pending := st.delta.Len()
 		cs := core.ShardStat{
-			Shard:      s,
-			Sets:       st.stat.Sets + pending,
-			Pending:    pending,
-			Queries:    e.queries[s].Load(),
-			PhiMode:    "off",
-			Calibrated: st.cal != nil && e.calOn.Load(),
-			HoldoutErr: st.holdout,
+			Shard:   s,
+			Sets:    st.stat.Sets + pending,
+			Pending: pending,
+			Queries: e.queries[s].Load(),
+			PhiMode: "off",
 		}
 		if st.est != nil {
 			cs.Bytes = st.est.SizeBytes()

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 
 	"setlearn/internal/blockio"
-	"setlearn/internal/calib"
 	"setlearn/internal/core"
 	"setlearn/internal/hybrid"
 	"setlearn/internal/sets"
@@ -35,14 +34,17 @@ import (
 // configuration. Version-1 streams still load; they come up with empty
 // deltas and no retrain state.
 //
-// Format version 3 adds the error-aware sharding state: per-shard
-// calibration curves with their held-out workload and errors (so a reload
-// serves calibrated and a later retrain refits deterministically), and the
-// partitioner assignment tables — the frequency-band score table and
-// bounds, or the embedding-cluster centroids plus pilot-model parameters —
-// so inserts keep routing consistently after a reload. The freq/cluster
-// partitioner codes are only legal at version ≥ 3. Version-1/2 streams
-// still load, with nil calibration and stateless routing.
+// Format version 3 adds the error-aware sharding state: the partitioner
+// assignment tables — the frequency-band score table and bounds, or the
+// embedding-cluster centroids plus pilot-model parameters — so inserts keep
+// routing consistently after a reload. The freq/cluster partitioner codes
+// are only legal at version ≥ 3. Version-1/2 streams still load, with
+// stateless routing.
+//
+// Version-3 streams written by older builds may also carry per-shard
+// calibration state from the retired -calibrate option. A stream with any
+// calibration curve is refused (see rejectRetiredCalibration); the other
+// calibration fields are read and ignored.
 
 // Magic is the 8-byte sharded-container signature.
 const Magic = "SLSHRD1\x00"
@@ -53,10 +55,6 @@ func IsShardedMagic(b []byte) bool {
 }
 
 const formatVersion = 3
-
-// maxCalQueries bounds the persisted held-out workload a decoded header may
-// demand (the build draws calQueryCount; the slack covers future growth).
-const maxCalQueries = 1 << 16
 
 type containerHeader struct {
 	Version     int
@@ -81,14 +79,15 @@ type containerHeader struct {
 	EstOpts      *core.EstimatorOptions
 	FltOpts      *core.FilterOptions
 
-	// Error-aware sharding state (version ≥ 3; zero values in v1/v2
-	// streams). CalX/CalY are per-shard calibration-curve knots (nil entry:
-	// no curve for that shard); CalQueries is the persisted held-out
-	// workload retrains refit on; HoldoutErrs is parallel per-shard.
-	CalOn       bool // estimator only: calibration serving toggle
+	// Retired per-shard calibration state (version-3 streams written with
+	// the former -calibrate option; never written now). The fields stay so
+	// gob decodes them instead of silently dropping them: CalX/CalY are the
+	// per-shard curve knots, and a non-empty curve makes the load fail.
+	// CalOn, CalQueries and HoldoutErrs are read and ignored.
+	CalOn       bool
 	CalX        [][]float64
 	CalY        [][]float64
-	CalQueries  [][]uint32 // canonical element lists
+	CalQueries  [][]uint32
 	HoldoutErrs []float64
 
 	// Per-shard element-presence bitmaps (all partitioners, K > 1): the
@@ -158,7 +157,26 @@ func readContainerHeader(r io.Reader, kind string) (containerHeader, error) {
 	if hdr.MaxSubset < 0 || hdr.MaxSubset > 64 {
 		return hdr, fmt.Errorf("shard: subset cap %d out of range", hdr.MaxSubset)
 	}
+	if err := rejectRetiredCalibration(hdr); err != nil {
+		return hdr, err
+	}
 	return hdr, nil
+}
+
+// rejectRetiredCalibration refuses a stream that carries a per-shard
+// calibration curve. Serving such a container without its curve would be
+// wrong, not just less accurate: an index's error bounds were remeasured
+// under the curve, so trained-subset lookups could miss, and an
+// estimator's stored bounds describe the calibrated answers.
+func rejectRetiredCalibration(hdr containerHeader) error {
+	for _, rows := range [][][]float64{hdr.CalX, hdr.CalY} {
+		for s, row := range rows {
+			if len(row) > 0 {
+				return fmt.Errorf("shard: shard %d carries a calibration curve: the container was built with the retired -calibrate option and must be rebuilt", s)
+			}
+		}
+	}
+	return nil
 }
 
 // mutationState is the decoded v2 live-mutation header state, shared by the
@@ -371,87 +389,6 @@ func routerFromHeader(hdr containerHeader) (*router, error) {
 	return rt, nil
 }
 
-// calToHeader records the held-out calibration workload and the per-shard
-// curves/errors in the header; a container that never calibrated emits
-// nothing (keeping v3 bytes of uncalibrated containers minimal and the
-// save→load→save round trip byte-identical).
-func calToHeader(hdr *containerHeader, queries []sets.Set, curves []*calib.Curve, holdouts []float64) {
-	any := len(queries) > 0
-	for _, c := range curves {
-		if c != nil {
-			any = true
-		}
-	}
-	if !any {
-		return
-	}
-	hdr.CalQueries = make([][]uint32, len(queries))
-	for i, q := range queries {
-		hdr.CalQueries[i] = q
-	}
-	hdr.CalX = make([][]float64, len(curves))
-	hdr.CalY = make([][]float64, len(curves))
-	hdr.HoldoutErrs = holdouts
-	for s, c := range curves {
-		if c != nil {
-			hdr.CalX[s] = c.X
-			hdr.CalY[s] = c.Y
-		}
-	}
-}
-
-// decodeCalibration validates and decodes the persisted calibration state.
-// Fuzz surface: any malformed curve, workload, or error list errors out —
-// a load never serves through a garbage correction.
-func decodeCalibration(hdr containerHeader) (queries []sets.Set, curves []*calib.Curve, holdouts []float64, err error) {
-	curves = make([]*calib.Curve, hdr.Shards)
-	holdouts = make([]float64, hdr.Shards)
-	if len(hdr.CalQueries) > maxCalQueries {
-		return nil, nil, nil, fmt.Errorf("shard: %d calibration queries exceed cap %d", len(hdr.CalQueries), maxCalQueries)
-	}
-	if len(hdr.CalQueries) > 0 {
-		queries = make([]sets.Set, len(hdr.CalQueries))
-		for i, ids := range hdr.CalQueries {
-			q, err := canonicalSet(ids)
-			if err != nil {
-				return nil, nil, nil, fmt.Errorf("shard: calibration query %d: %w", i, err)
-			}
-			if len(q) == 0 {
-				return nil, nil, nil, fmt.Errorf("shard: calibration query %d is empty", i)
-			}
-			queries[i] = q
-		}
-	}
-	if hdr.CalX == nil && hdr.CalY == nil && hdr.HoldoutErrs == nil {
-		return queries, curves, holdouts, nil
-	}
-	if len(hdr.CalX) != hdr.Shards || len(hdr.CalY) != hdr.Shards {
-		return nil, nil, nil, fmt.Errorf("shard: calibration curves for %d/%d shards, want %d", len(hdr.CalX), len(hdr.CalY), hdr.Shards)
-	}
-	if hdr.HoldoutErrs != nil {
-		if len(hdr.HoldoutErrs) != hdr.Shards {
-			return nil, nil, nil, fmt.Errorf("shard: %d held-out errors for %d shards", len(hdr.HoldoutErrs), hdr.Shards)
-		}
-		for s, h := range hdr.HoldoutErrs {
-			if math.IsNaN(h) || math.IsInf(h, 0) || h < 0 {
-				return nil, nil, nil, fmt.Errorf("shard: shard %d held-out error %g out of range", s, h)
-			}
-		}
-		copy(holdouts, hdr.HoldoutErrs)
-	}
-	for s := 0; s < hdr.Shards; s++ {
-		if len(hdr.CalX[s]) == 0 && len(hdr.CalY[s]) == 0 {
-			continue
-		}
-		cur := &calib.Curve{X: hdr.CalX[s], Y: hdr.CalY[s]}
-		if err := cur.Validate(); err != nil {
-			return nil, nil, nil, fmt.Errorf("shard: shard %d calibration curve: %w", s, err)
-		}
-		curves[s] = cur
-	}
-	return queries, curves, holdouts, nil
-}
-
 func writeContainerHeader(w io.Writer, hdr containerHeader) error {
 	if err := writeMagic(w); err != nil {
 		return fmt.Errorf("shard: write magic: %w", err)
@@ -524,16 +461,11 @@ func (x *Index) Save(w io.Writer) error {
 	}
 	x.fillMutation(&hdr, deltas)
 	x.insertMu.Unlock()
-	curves := make([]*calib.Curve, x.k)
-	holdouts := make([]float64, x.k)
 	for s := 0; s < x.k; s++ {
 		hdr.ShardSets[s] = len(sts[s].global)
 		hdr.Globals[s] = sts[s].global
-		curves[s] = sts[s].cal
-		holdouts[s] = sts[s].holdout
 	}
 	routerToHeader(x.route, &hdr)
-	calToHeader(&hdr, x.calQueries, curves, holdouts)
 	if err := writeContainerHeader(w, hdr); err != nil {
 		return err
 	}
@@ -573,10 +505,6 @@ func LoadShardedIndex(r io.Reader, c *sets.Collection) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	calQueries, curves, holdouts, err := decodeCalibration(hdr)
-	if err != nil {
-		return nil, err
-	}
 	if hdr.Version < 2 {
 		// v1 resolved every position through the collection.
 		ms.baseLen = c.Len()
@@ -594,7 +522,6 @@ func LoadShardedIndex(r io.Reader, c *sets.Collection) (*Index, error) {
 		queries: make([]atomic.Uint64, hdr.Shards),
 		opts:    hdr.IndexOpts,
 	}
-	x.calQueries = calQueries
 	x.baseLen = ms.baseLen
 	x.baseSeed = ms.baseSeed
 	x.nextPos.Store(ms.nextPos)
@@ -613,12 +540,10 @@ func LoadShardedIndex(r io.Reader, c *sets.Collection) (*Index, error) {
 			maxID = id
 		}
 		st := &indexShard{
-			sub:     sub,
-			global:  hdr.Globals[s],
-			delta:   hybrid.NewDeltaFrom(ms.deltas[s]),
-			stat:    BuildStat{Shard: s, Sets: sub.Len(), HoldoutErr: holdouts[s]},
-			cal:     curves[s],
-			holdout: holdouts[s],
+			sub:    sub,
+			global: hdr.Globals[s],
+			delta:  hybrid.NewDeltaFrom(ms.deltas[s]),
+			stat:   BuildStat{Shard: s, Sets: sub.Len()},
 		}
 		block, err := blockio.Read(r)
 		if err != nil {
@@ -634,12 +559,6 @@ func LoadShardedIndex(r io.Reader, c *sets.Collection) (*Index, error) {
 		idx, err := core.LoadIndex(block, sub)
 		if err != nil {
 			return nil, fmt.Errorf("shard: load shard %d: %w", s, err)
-		}
-		if st.cal != nil {
-			// Install-only: the persisted error bounds were measured with
-			// the curve active, so no remeasure is needed (or wanted — it
-			// must match the pre-save serving state exactly).
-			idx.SetPositionCalibration(st.cal)
 		}
 		st.idx = idx
 		st.stat.Bytes = idx.SizeBytes()
@@ -685,17 +604,11 @@ func (e *Estimator) Save(w io.Writer) error {
 	}
 	e.auxMu.RUnlock()
 	e.insertMu.Unlock()
-	curves := make([]*calib.Curve, e.k)
-	holdouts := make([]float64, e.k)
 	for s := 0; s < e.k; s++ {
 		hdr.ShardSets[s] = sts[s].stat.Sets
 		hdr.Globals[s] = sts[s].global
-		curves[s] = sts[s].cal
-		holdouts[s] = sts[s].holdout
 	}
-	hdr.CalOn = e.calOn.Load()
 	routerToHeader(e.route, &hdr)
-	calToHeader(&hdr, e.calQueries, curves, holdouts)
 	if err := writeContainerHeader(w, hdr); err != nil {
 		return err
 	}
@@ -738,10 +651,6 @@ func LoadShardedEstimator(r io.Reader) (*Estimator, error) {
 	if err != nil {
 		return nil, err
 	}
-	calQueries, curves, holdouts, err := decodeCalibration(hdr)
-	if err != nil {
-		return nil, err
-	}
 	e := &Estimator{
 		states:  make([]atomic.Pointer[estShard], hdr.Shards),
 		k:       hdr.Shards,
@@ -753,8 +662,6 @@ func LoadShardedEstimator(r io.Reader) (*Estimator, error) {
 		queries: make([]atomic.Uint64, hdr.Shards),
 		opts:    hdr.EstOpts,
 	}
-	e.calQueries = calQueries
-	e.calOn.Store(hdr.CalOn)
 	e.baseLen = ms.baseLen
 	e.baseSeed = ms.baseSeed
 	e.nextPos.Store(ms.nextPos)
@@ -769,10 +676,8 @@ func LoadShardedEstimator(r io.Reader) (*Estimator, error) {
 	var maxID uint32
 	for s := 0; s < hdr.Shards; s++ {
 		st := &estShard{
-			delta:   hybrid.NewDeltaFrom(ms.deltas[s]),
-			stat:    BuildStat{Shard: s, Sets: hdr.ShardSets[s], HoldoutErr: holdouts[s]},
-			cal:     curves[s],
-			holdout: holdouts[s],
+			delta: hybrid.NewDeltaFrom(ms.deltas[s]),
+			stat:  BuildStat{Shard: s, Sets: hdr.ShardSets[s]},
 		}
 		if hdr.Version >= 2 {
 			st.global = hdr.Globals[s]
@@ -794,9 +699,6 @@ func LoadShardedEstimator(r io.Reader) (*Estimator, error) {
 		est, err := core.LoadCardinalityEstimator(block)
 		if err != nil {
 			return nil, fmt.Errorf("shard: load shard %d: %w", s, err)
-		}
-		if hdr.CalOn && st.cal != nil {
-			est.SetCalibration(st.cal)
 		}
 		st.est = est
 		st.stat.Bytes = est.SizeBytes()

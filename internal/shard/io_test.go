@@ -243,7 +243,10 @@ func TestShardedLoadTruncatedNeverPanics(t *testing.T) {
 // allocation. The which byte selects the loader so the fuzzer can mutate
 // container bytes against their own decoder. Seeds for the committed corpus
 // under testdata/fuzz/FuzzLoadSharded are regenerated by
-// TestWriteFuzzSeedCorpus (SHARD_WRITE_CORPUS=1).
+// TestWriteFuzzSeedCorpus (SHARD_WRITE_CORPUS=1). The committed -v3 seeds
+// were written by builds that still had -calibrate and carry calibration
+// curves, so they also drive the retired-calibration refusal path;
+// regenerating them replaces that with plain v3 streams.
 func FuzzLoadSharded(f *testing.F) {
 	fc := buildIOCorpus(f)
 	_, cardFreq, idxClust := buildIOV3Corpus(f)
@@ -252,8 +255,8 @@ func FuzzLoadSharded(f *testing.F) {
 	f.Add(byte(2), fc.member)
 	f.Add(byte(0), fc.card)
 	f.Add(byte(2), fc.card)
-	f.Add(byte(1), cardFreq) // calibrated freq container, full v3 header
-	f.Add(byte(0), idxClust) // calibrated cluster container, centroid table
+	f.Add(byte(1), cardFreq) // freq container, full v3 header
+	f.Add(byte(0), idxClust) // cluster container, centroid table
 	f.Add(byte(2), cardFreq) // v3 frame against the wrong loader
 	f.Add(byte(1), []byte(Magic))
 	f.Add(byte(1), []byte("garbage that is not a container"))

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"io"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -14,11 +15,11 @@ import (
 	"setlearn/internal/sets"
 )
 
-// Version-3 persistence pins: the error-aware sharding state — calibration
-// blobs, partitioner assignment tables, presence bitmaps, support filters —
-// must round-trip byte-identically and reject every corrupted field with an
-// error, never a panic or a container that silently routes/prunes from
-// garbage.
+// Version-3 persistence pins: the error-aware sharding state — partitioner
+// assignment tables, presence bitmaps, support filters — must round-trip
+// byte-identically and reject every corrupted field with an error, never a
+// panic or a container that silently routes/prunes from garbage. Streams
+// carrying the retired per-shard calibration curves must be refused.
 
 var (
 	ioV3Once     sync.Once
@@ -28,16 +29,16 @@ var (
 	ioV3Err      error
 )
 
-// buildIOV3Corpus serializes one calibrated frequency-band estimator and one
-// calibrated embedding-cluster index — the two containers that exercise
-// every v3 header field (curves + held-out workload, frequency table,
-// centroids + pilot parameters, presence bitmaps, support filters).
+// buildIOV3Corpus serializes one frequency-band estimator and one
+// embedding-cluster index — the two containers that exercise every v3
+// header field (frequency table, centroids + pilot parameters, presence
+// bitmaps, support filters).
 func buildIOV3Corpus(tb testing.TB) (c *sets.Collection, cardFreq, idxClust []byte) {
 	tb.Helper()
 	ioV3Once.Do(func() {
 		ioV3Col = dataset.GenerateSD(60, 20, 71)
 		est, err := BuildShardedEstimator(ioV3Col, Options{
-			Shards: 3, Partitioner: FrequencyBand, Calibrate: true,
+			Shards: 3, Partitioner: FrequencyBand,
 		}, core.EstimatorOptions{Model: ioModel(), MaxSubset: 2, Percentile: 50})
 		if err != nil {
 			ioV3Err = err
@@ -50,7 +51,7 @@ func buildIOV3Corpus(tb testing.TB) (c *sets.Collection, cardFreq, idxClust []by
 		ioV3CardFreq = append([]byte(nil), buf.Bytes()...)
 
 		idx, err := BuildShardedIndex(ioV3Col, Options{
-			Shards: 3, Partitioner: EmbedCluster, Calibrate: true,
+			Shards: 3, Partitioner: EmbedCluster,
 		}, core.IndexOptions{Model: ioModel(), MaxSubset: 2})
 		if err != nil {
 			ioV3Err = err
@@ -68,9 +69,9 @@ func buildIOV3Corpus(tb testing.TB) (c *sets.Collection, cardFreq, idxClust []by
 	return ioV3Col, ioV3CardFreq, ioV3IdxClust
 }
 
-// TestShardedV3GoldenRoundTrip: the calibrated freq/cluster containers
-// save → load → save byte-identically, and the reloaded containers keep
-// their calibration state, routing tables, and exact answers.
+// TestShardedV3GoldenRoundTrip: the freq/cluster containers save → load →
+// save byte-identically, and the reloaded containers keep their routing
+// tables and exact answers.
 func TestShardedV3GoldenRoundTrip(t *testing.T) {
 	c, cardFreq, idxClust := buildIOV3Corpus(t)
 	st := dataset.CollectSubsets(c, 2)
@@ -87,9 +88,6 @@ func TestShardedV3GoldenRoundTrip(t *testing.T) {
 		}
 		if !bytes.Equal(cardFreq, buf.Bytes()) {
 			t.Fatalf("round trip not byte-identical: %d → %d bytes", len(cardFreq), buf.Len())
-		}
-		if !e.Calibrated() {
-			t.Fatal("reloaded estimator lost its calibration toggle")
 		}
 		if e.route.freq == nil {
 			t.Fatal("reloaded estimator lost its frequency table")
@@ -173,31 +171,16 @@ func TestShardedV3HeaderPins(t *testing.T) {
 		mut  func(*containerHeader)
 	}{
 		{"calibration curve X/Y mismatch", func(h *containerHeader) {
-			h.CalX[0] = []float64{1, 2, 3}
-			h.CalY[0] = []float64{1, 2}
+			setCurve(h, 0, []float64{1, 2, 3}, []float64{1, 2})
 		}},
 		{"calibration curve non-monotone", func(h *containerHeader) {
-			h.CalX[0] = []float64{2, 1}
-			h.CalY[0] = []float64{1, 2}
+			setCurve(h, 0, []float64{2, 1}, []float64{1, 2})
 		}},
 		{"calibration curve NaN knot", func(h *containerHeader) {
-			h.CalX[0] = []float64{1, 2}
-			h.CalY[0] = []float64{math.NaN(), 2}
-		}},
-		{"held-out error negative", func(h *containerHeader) {
-			h.HoldoutErrs[0] = -1
-		}},
-		{"held-out error NaN", func(h *containerHeader) {
-			h.HoldoutErrs[0] = math.NaN()
-		}},
-		{"calibration query non-canonical", func(h *containerHeader) {
-			h.CalQueries[0] = []uint32{5, 5}
-		}},
-		{"calibration query empty", func(h *containerHeader) {
-			h.CalQueries[0] = []uint32{}
+			setCurve(h, 0, []float64{1, 2}, []float64{math.NaN(), 2})
 		}},
 		{"curve rows for wrong shard count", func(h *containerHeader) {
-			h.CalX = h.CalX[:1]
+			h.CalX = [][]float64{{1, 2}}
 		}},
 		{"frequency ids not increasing", func(h *containerHeader) {
 			if len(h.FreqIDs) < 2 {
@@ -269,6 +252,98 @@ func TestShardedV3HeaderPins(t *testing.T) {
 			bad := rewriteHeader(t, idxClust, tc.mut)
 			if _, err := LoadShardedIndex(bytes.NewReader(bad), c); err == nil {
 				t.Fatal("corrupted header loaded without error")
+			}
+		})
+	}
+}
+
+// setCurve hand-sets shard s's retired calibration-curve knots, the shape
+// older builds wrote for a -calibrate container.
+func setCurve(h *containerHeader, s int, x, y []float64) {
+	if h.CalX == nil {
+		h.CalX = make([][]float64, h.Shards)
+		h.CalY = make([][]float64, h.Shards)
+	}
+	h.CalX[s], h.CalY[s] = x, y
+}
+
+// TestShardedV3RetiredCalibrationRejected: a v3 stream carrying a
+// well-formed calibration curve — what the retired -calibrate option wrote
+// — must fail to load with an error that names the option and asks for a
+// rebuild. Serving it without the curve would break trained-subset
+// exactness (index bounds were remeasured under the curve) and misstate
+// the estimator's stored bounds.
+func TestShardedV3RetiredCalibrationRejected(t *testing.T) {
+	c, cardFreq, idxClust := buildIOV3Corpus(t)
+	withCurve := func(h *containerHeader) {
+		setCurve(h, 1, []float64{0, 10}, []float64{0.5, 9.5})
+		h.CalOn = true
+	}
+	check := func(t *testing.T, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatal("calibrated stream loaded without error")
+		}
+		if !strings.Contains(err.Error(), "-calibrate") || !strings.Contains(err.Error(), "rebuilt") {
+			t.Fatalf("error %q does not name the retired -calibrate option and the rebuild", err)
+		}
+	}
+	t.Run("estimator", func(t *testing.T) {
+		_, err := LoadShardedEstimator(bytes.NewReader(rewriteHeader(t, cardFreq, withCurve)))
+		check(t, err)
+	})
+	t.Run("index", func(t *testing.T) {
+		_, err := LoadShardedIndex(bytes.NewReader(rewriteHeader(t, idxClust, withCurve)), c)
+		check(t, err)
+	})
+}
+
+// TestShardedV3RetiredCalibrationFieldsIgnored: the other retired
+// calibration fields (serving toggle, held-out workload, held-out errors)
+// are read and ignored — even malformed values load, and the container
+// answers exactly as the stream without them.
+func TestShardedV3RetiredCalibrationFieldsIgnored(t *testing.T) {
+	c, cardFreq, _ := buildIOV3Corpus(t)
+	want, err := LoadShardedEstimator(bytes.NewReader(cardFreq))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := dataset.CollectSubsets(c, 2)
+	keys := sampleKeys(st, 4)
+	cases := []struct {
+		name string
+		mut  func(*containerHeader)
+	}{
+		{"held-out error negative", func(h *containerHeader) {
+			h.HoldoutErrs = []float64{-1, 0, 0}
+		}},
+		{"held-out error NaN", func(h *containerHeader) {
+			h.HoldoutErrs = []float64{math.NaN(), 0, 0}
+		}},
+		{"calibration query non-canonical", func(h *containerHeader) {
+			h.CalQueries = [][]uint32{{5, 5}}
+		}},
+		{"calibration query empty", func(h *containerHeader) {
+			h.CalQueries = [][]uint32{{}}
+		}},
+		{"serving toggle with empty curves", func(h *containerHeader) {
+			h.CalOn = true
+			h.CalX = make([][]float64, h.Shards)
+			h.CalY = make([][]float64, h.Shards)
+		}},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := LoadShardedEstimator(bytes.NewReader(rewriteHeader(t, cardFreq, tc.mut)))
+			if err != nil {
+				t.Fatalf("retired field rejected: %v", err)
+			}
+			for _, key := range keys {
+				q := st.ByKey[key].Set
+				if got, w := e.Estimate(q), want.Estimate(q); got != w {
+					t.Fatalf("Estimate(%v) = %g, want %g", q, got, w)
+				}
 			}
 		})
 	}

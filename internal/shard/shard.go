@@ -125,19 +125,6 @@ type Options struct {
 	// that deterministically covers the fan-in sum on that workload. Costs
 	// one extra pass over the workload per shard.
 	MeasureBounds bool
-	// Calibrate fits a per-shard monotone correction (isotonic regression)
-	// on held-out queries after each shard build and composes it into the
-	// fan-in, replacing the floor-at-1 convention on calibrated shards.
-	// Exact paths (aux overrides, OOV queries, the delta) are never
-	// calibrated. Applies to estimator and index builds.
-	Calibrate bool
-	// ErrorBudget (estimator builds only; implies Calibrate) is a per-shard
-	// held-out mean-absolute-error budget. Shards whose held-out error
-	// exceeds it steal training epochs — and, when over 2× budget, model
-	// width — from shards under budget before the final training pass, so
-	// extra capacity flows to the shards that need it without raising the
-	// total build cost.
-	ErrorBudget float64
 }
 
 // maxShards bounds K at build and load time; far above any sensible
@@ -156,14 +143,6 @@ func (o Options) withDefaults() (Options, error) {
 	case HashBySet, RangeByPosition, FrequencyBand, EmbedCluster:
 	default:
 		return o, fmt.Errorf("shard: unknown partitioner %d", int(o.Partitioner))
-	}
-	if o.ErrorBudget < 0 {
-		return o, fmt.Errorf("shard: negative error budget %g", o.ErrorBudget)
-	}
-	if o.ErrorBudget > 0 {
-		// The stealer decides over-/under-budget from held-out calibration
-		// error, so a budget implies the calibration pass.
-		o.Calibrate = true
 	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)
@@ -233,12 +212,6 @@ type BuildStat struct {
 	// ErrBound is the measured max |estimate − truth| over the global
 	// trained workload (estimator with MeasureBounds only).
 	ErrBound float64 `json:"err_bound,omitempty"`
-	// HoldoutErr is the shard's held-out mean absolute error with its
-	// calibration curve applied (Calibrate builds only).
-	HoldoutErr float64 `json:"holdout_err,omitempty"`
-	// StolenEpochs is the extra training epochs this shard received from
-	// the error-budget capacity stealer (ErrorBudget builds only).
-	StolenEpochs int `json:"stolen_epochs,omitempty"`
 }
 
 // runBounded runs fn(0..n-1) on a worker pool of the given size and joins
