@@ -143,7 +143,8 @@ func (i *SetIndex) Insert(s sets.Set, pos int) {
 
 // InsertSet appends s to the logical collection, assigning it the next
 // global position and recording it in the exact delta: lookups answer for
-// it the instant this returns, at O(pending delta) query cost.
+// it the instant this returns. The write appends one delta posting per
+// element; a lookup walks the delta postings of its rarest element.
 func (i *SetIndex) InsertSet(s sets.Set) int {
 	pos := int(i.nextPos.Add(1)) - 1
 	i.delta.Add(s.Clone(), pos)

@@ -88,7 +88,9 @@ type DeltaStats struct {
 // Inserter is the write surface of a mutable structure: InsertSet absorbs a
 // whole new set into an exact delta structure, so every query composed with
 // the delta (aux fan-in) answers correctly the instant the call returns —
-// no retraining on the write path, O(pending delta) cost per operation.
+// no retraining on the write path. A write costs one delta posting append
+// per element; a read costs a walk of the delta postings of the query's
+// rarest element.
 type Inserter interface {
 	// InsertSet registers s as appended to the logical collection and
 	// returns its assigned global position (structures without position
